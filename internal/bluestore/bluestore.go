@@ -11,7 +11,6 @@
 package bluestore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -84,13 +83,34 @@ func DefaultConfig() Config {
 	}
 }
 
+// ChunkKey identifies one EC chunk: the ids of its pool, placement group,
+// object and shard, plus NameLen, the byte length of the chunk's Ceph
+// object name "<pool>/<pg>/<object>/s<shard>", which sizes its onode KV
+// key. Keys and chunk records hold no pointers, so the chunk index costs
+// the garbage collector nothing to scan however many chunks it holds.
+type ChunkKey struct {
+	Pool    uint32
+	PG      uint32
+	Object  uint32
+	Shard   uint16
+	NameLen uint16
+}
+
+// String renders the key as "pool/pg/object/sN" in ids, for errors.
+func (k ChunkKey) String() string {
+	return fmt.Sprintf("%d/%d/%d/s%d", k.Pool, k.PG, k.Object, k.Shard)
+}
+
+// onodeKeyLen is the length of the chunk's onode KV key, "o/<name>".
+func (k ChunkKey) onodeKeyLen() int { return len("o/") + int(k.NameLen) }
+
 type chunkInfo struct {
 	size      int64
-	allocated int64
-	share     int64 // logical object share used for EC metadata accounting
-	hasData   bool
+	share     int64  // logical object share used for EC metadata accounting
+	offset    int64  // device placement (payload mode)
 	checksum  uint32 // crc32 of the payload at write time (payload mode)
-	corrupted bool   // accounting-mode corruption marker
+	hasData   bool
+	corrupted bool // accounting-mode corruption marker
 }
 
 // Store is one OSD's object store.
@@ -100,22 +120,15 @@ type Store struct {
 	dev *blockdev.Device
 	kv  *kvstore.DB
 
-	chunks map[string]chunkInfo
+	chunks map[ChunkKey]chunkInfo
 
 	// Copy-on-write fork state: base is the frozen parent's chunks map
-	// (shared, read-only), baseDeleted tombstones base names deleted or
+	// (shared, read-only), baseDeleted tombstones base keys deleted or
 	// shadowed by this fork. Invariant: chunks ∩ base ⊆ baseDeleted.
 	// Nil base means a root store.
-	base        map[string]chunkInfo
-	baseDeleted map[string]bool
+	base        map[ChunkKey]chunkInfo
+	baseDeleted map[ChunkKey]bool
 	frozen      bool
-
-	// bulk holds accounting-mode chunks ingested through WriteChunksBulk
-	// whose byte/metadata accounting is already applied but whose map
-	// entries are deferred: synthetic bulk loads write millions of chunks
-	// that are usually never looked up by name again, so the hash-map
-	// cost is paid lazily, per store, on the first name lookup.
-	bulk []bulkEntry
 
 	dataAllocated int64
 	nextOffset    int64 // bump allocator for payload placement
@@ -176,7 +189,7 @@ func Open(dev *blockdev.Device, cfg Config) (*Store, error) {
 		cfg:    cfg,
 		dev:    dev,
 		kv:     kvstore.Open(cfg.KVSpaceAmp),
-		chunks: map[string]chunkInfo{},
+		chunks: map[ChunkKey]chunkInfo{},
 	}, nil
 }
 
@@ -188,14 +201,13 @@ func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // lookupLocked resolves a chunk through the overlay, then the
-// untombstoned base. Callers must hold s.mu and have materialized bulk
-// entries if they care about them.
-func (s *Store) lookupLocked(name string) (chunkInfo, bool) {
-	if info, ok := s.chunks[name]; ok {
+// untombstoned base. Callers must hold s.mu.
+func (s *Store) lookupLocked(key ChunkKey) (chunkInfo, bool) {
+	if info, ok := s.chunks[key]; ok {
 		return info, true
 	}
-	if s.base != nil && !s.baseDeleted[name] {
-		if info, ok := s.base[name]; ok {
+	if s.base != nil && !s.baseDeleted[key] {
+		if info, ok := s.base[key]; ok {
 			return info, true
 		}
 	}
@@ -203,23 +215,31 @@ func (s *Store) lookupLocked(name string) (chunkInfo, bool) {
 }
 
 // setLocked writes a chunk record into the overlay, tombstoning any
-// base entry of the same name. Callers must hold s.mu.
-func (s *Store) setLocked(name string, info chunkInfo) {
-	s.chunks[name] = info
-	if s.base != nil {
-		if _, ok := s.base[name]; ok {
-			if s.baseDeleted == nil {
-				s.baseDeleted = map[string]bool{}
-			}
-			s.baseDeleted[name] = true
-		}
-	}
+// base entry of the same key. Callers must hold s.mu.
+func (s *Store) setLocked(key ChunkKey, info chunkInfo) {
+	s.chunks[key] = info
+	s.tombstoneLocked(key)
 }
 
-// chunkCountLocked is the number of visible chunks, deferred bulk
-// entries included. Callers must hold s.mu.
+// tombstoneLocked hides a base-resident key from future lookups.
+// Callers must hold s.mu.
+func (s *Store) tombstoneLocked(key ChunkKey) {
+	if s.base == nil {
+		return
+	}
+	if _, ok := s.base[key]; !ok {
+		return
+	}
+	if s.baseDeleted == nil {
+		s.baseDeleted = map[ChunkKey]bool{}
+	}
+	s.baseDeleted[key] = true
+}
+
+// chunkCountLocked is the number of visible chunks. Callers must hold
+// s.mu.
 func (s *Store) chunkCountLocked() int {
-	n := len(s.chunks) + len(s.bulk)
+	n := len(s.chunks)
 	if s.base != nil {
 		n += len(s.base) - len(s.baseDeleted)
 	}
@@ -238,7 +258,7 @@ func (s *Store) mutableLocked(op string) error {
 // (S_object / n), which drives EC metadata accounting; payload, if
 // non-nil, carries real bytes (len(payload) must equal size), otherwise
 // the write is accounting-only.
-func (s *Store) WriteChunk(name string, size, objectShare int64, payload []byte) error {
+func (s *Store) WriteChunk(key ChunkKey, size, objectShare int64, payload []byte) error {
 	if size < 0 || objectShare < 0 {
 		return fmt.Errorf("bluestore: negative sizes")
 	}
@@ -250,72 +270,48 @@ func (s *Store) WriteChunk(name string, size, objectShare int64, payload []byte)
 	if err := s.mutableLocked("WriteChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	if old, ok := s.lookupLocked(name); ok {
-		s.dropLocked(name, old)
+	if old, ok := s.lookupLocked(key); ok {
+		s.dropLocked(key, old)
 	}
 	info := chunkInfo{size: size, share: objectShare}
-	info.allocated = roundUp(size, s.cfg.MinAllocSize)
-
-	var off int64
+	allocated := roundUp(size, s.cfg.MinAllocSize)
 	if payload != nil {
 		info.checksum = crc32.ChecksumIEEE(payload)
-		off = s.nextOffset
-		if off+info.allocated > s.dev.Capacity() {
-			return fmt.Errorf("bluestore: device full (%d + %d > %d)", off, info.allocated, s.dev.Capacity())
+		info.offset = s.nextOffset
+		if info.offset+allocated > s.dev.Capacity() {
+			return fmt.Errorf("bluestore: device full (%d + %d > %d)", info.offset, allocated, s.dev.Capacity())
 		}
-		if _, err := s.dev.WriteAt(payload, off); err != nil {
+		if _, err := s.dev.WriteAt(payload, info.offset); err != nil {
 			return fmt.Errorf("bluestore: %w", err)
 		}
-		s.nextOffset = off + info.allocated
+		s.nextOffset = info.offset + allocated
 		info.hasData = true
 	} else {
 		if err := s.dev.AccountWrite(size); err != nil {
 			return fmt.Errorf("bluestore: %w", err)
 		}
 	}
-	s.dataAllocated += info.allocated
-
-	if info.hasData {
-		// Onode record: placement offset + sizes, padded to the modeled
-		// onode size. Only payload-mode chunks ever read it back.
-		onode := make([]byte, s.cfg.OnodeBytes)
-		binary.BigEndian.PutUint64(onode[0:8], uint64(off))
-		binary.BigEndian.PutUint64(onode[8:16], uint64(size))
-		binary.BigEndian.PutUint64(onode[16:24], uint64(objectShare))
-		onode[24] = 1
-		s.kv.Put("o/"+name, onode)
-	} else {
-		// Accounting-mode chunks account the identical KV entry without
-		// materializing the key or the onode bytes (the synthetic-workload
-		// hot path: millions of onodes nobody reads).
-		s.kv.PutAccounted(len("o/")+len(name), int(s.cfg.OnodeBytes))
-	}
-
+	s.dataAllocated += allocated
+	// The onode record (placement, sizes) lives in the chunk index; the
+	// KV store accounts the identical entry without materializing it.
+	s.kv.PutAccounted(key.onodeKeyLen(), int(s.cfg.OnodeBytes))
 	s.accountedMeta += s.metaRecordBytes(size)
 	s.ecMetaBytes += int64(s.cfg.ECMetaFraction * float64(objectShare))
-	s.setLocked(name, info)
+	s.setLocked(key, info)
 	return nil
 }
 
 // BulkChunk is one accounting-mode chunk of a bulk ingest.
 type BulkChunk struct {
-	Name  string
+	Key   ChunkKey
 	Size  int64 // padded chunk size on disk
 	Share int64 // logical object share (S_object / n)
 }
 
-type bulkEntry struct {
-	name string
-	info chunkInfo
-}
-
 // WriteChunksBulk ingests accounting-mode chunks in one locked pass:
 // byte-for-byte the same device, KV and metadata accounting as calling
-// WriteChunk(name, size, share, nil) per chunk, but with one device and
-// one KV accounting call for the whole batch, and the per-name map
-// entries deferred until some lookup actually needs them. Names must be
-// new — bulk ingest targets a freshly created pool.
+// WriteChunk(key, size, share, nil) per chunk, but with one device and
+// one KV accounting call for the whole batch.
 func (s *Store) WriteChunksBulk(chunks []BulkChunk) error {
 	var devBytes, keyBytes, allocSum, metaSum, ecSum int64
 	for i := range chunks {
@@ -324,7 +320,7 @@ func (s *Store) WriteChunksBulk(chunks []BulkChunk) error {
 			return fmt.Errorf("bluestore: negative sizes")
 		}
 		devBytes += ch.Size
-		keyBytes += int64(len("o/") + len(ch.Name))
+		keyBytes += int64(ch.Key.onodeKeyLen())
 		allocSum += roundUp(ch.Size, s.cfg.MinAllocSize)
 		metaSum += s.metaRecordBytes(ch.Size)
 		ecSum += int64(s.cfg.ECMetaFraction * float64(ch.Share))
@@ -341,30 +337,16 @@ func (s *Store) WriteChunksBulk(chunks []BulkChunk) error {
 	s.dataAllocated += allocSum
 	s.accountedMeta += metaSum
 	s.ecMetaBytes += ecSum
+	if len(s.chunks) == 0 {
+		s.chunks = make(map[ChunkKey]chunkInfo, len(chunks))
+	}
 	for _, ch := range chunks {
-		s.bulk = append(s.bulk, bulkEntry{name: ch.Name, info: chunkInfo{
-			size:      ch.Size,
-			allocated: roundUp(ch.Size, s.cfg.MinAllocSize),
-			share:     ch.Share,
-		}})
+		if old, ok := s.lookupLocked(ch.Key); ok {
+			s.dropLocked(ch.Key, old)
+		}
+		s.setLocked(ch.Key, chunkInfo{size: ch.Size, share: ch.Share})
 	}
 	return nil
-}
-
-// materializeBulkLocked moves deferred bulk entries into the chunks map.
-// Every name-keyed code path calls it first, so the deferral is invisible
-// to callers.
-func (s *Store) materializeBulkLocked() {
-	if len(s.bulk) == 0 {
-		return
-	}
-	for _, e := range s.bulk {
-		if old, ok := s.lookupLocked(e.name); ok {
-			s.dropLocked(e.name, old)
-		}
-		s.setLocked(e.name, e.info)
-	}
-	s.bulk = nil
 }
 
 // metaRecordBytes is the extent-map plus checksum record size for a chunk.
@@ -374,50 +356,42 @@ func (s *Store) metaRecordBytes(size int64) int64 {
 	return extents*s.cfg.ExtentEntryBytes + csums*s.cfg.CsumEntryBytes
 }
 
+// find looks a chunk up under the lock.
+func (s *Store) find(key ChunkKey) (chunkInfo, error) {
+	s.mu.Lock()
+	info, ok := s.lookupLocked(key)
+	s.mu.Unlock()
+	if !ok {
+		return chunkInfo{}, fmt.Errorf("%w: %v", ErrNoSuchChunk, key)
+	}
+	return info, nil
+}
+
 // ReadChunk returns the chunk size and, for payload-mode chunks, its
 // bytes. Device read counters are bumped either way.
-func (s *Store) ReadChunk(name string) (int64, []byte, error) {
-	s.mu.Lock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
-	if !ok {
-		s.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+func (s *Store) ReadChunk(key ChunkKey) (int64, []byte, error) {
+	info, err := s.find(key)
+	if err != nil {
+		return 0, nil, err
 	}
-	var off int64
 	if info.hasData {
-		onode, ok := s.kv.Get("o/" + name)
-		if !ok {
-			s.mu.Unlock()
-			return 0, nil, fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, name)
-		}
-		off = int64(binary.BigEndian.Uint64(onode[0:8]))
-	}
-	size, hasData := info.size, info.hasData
-	s.mu.Unlock()
-
-	if hasData {
-		buf := make([]byte, size)
-		if _, err := s.dev.ReadAt(buf, off); err != nil {
+		buf := make([]byte, info.size)
+		if _, err := s.dev.ReadAt(buf, info.offset); err != nil {
 			return 0, nil, fmt.Errorf("bluestore: %w", err)
 		}
-		return size, buf, nil
+		return info.size, buf, nil
 	}
-	if err := s.dev.AccountRead(size); err != nil {
+	if err := s.dev.AccountRead(info.size); err != nil {
 		return 0, nil, fmt.Errorf("bluestore: %w", err)
 	}
-	return size, nil, nil
+	return info.size, nil, nil
 }
 
 // ReadSubChunks accounts a partial read of the chunk (count sub-chunk
 // reads totalling bytes), used by Clay repair I/O accounting.
-func (s *Store) ReadSubChunks(name string, bytes int64) error {
-	s.mu.Lock()
-	s.materializeBulkLocked()
-	_, ok := s.lookupLocked(name)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+func (s *Store) ReadSubChunks(key ChunkKey, bytes int64) error {
+	if _, err := s.find(key); err != nil {
+		return err
 	}
 	return s.dev.AccountRead(bytes)
 }
@@ -426,27 +400,21 @@ func (s *Store) ReadSubChunks(name string, bytes int64) error {
 // chunk: payload-mode chunks get their on-device bytes flipped, and
 // accounting-mode chunks are marked corrupt. The stored checksum is left
 // intact, so only a scrub can tell.
-func (s *Store) CorruptChunk(name string) error {
+func (s *Store) CorruptChunk(key ChunkKey) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutableLocked("CorruptChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(key)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return fmt.Errorf("%w: %v", ErrNoSuchChunk, key)
 	}
 	info.corrupted = true
-	s.setLocked(name, info)
+	s.setLocked(key, info)
 	if info.hasData {
-		onode, ok := s.kv.Get("o/" + name)
-		if !ok {
-			return fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, name)
-		}
-		off := int64(binary.BigEndian.Uint64(onode[0:8]))
 		// Flip a byte somewhere in the middle of the chunk.
-		pos := off + info.size/2
+		pos := info.offset + info.size/2
 		buf := make([]byte, 1)
 		if _, err := s.dev.ReadAt(buf, pos); err != nil {
 			return err
@@ -463,79 +431,55 @@ func (s *Store) CorruptChunk(name string) error {
 // their crc32 compared against the write-time checksum; accounting-mode
 // chunks report their corruption marker. It returns true when the chunk
 // is consistent.
-func (s *Store) ScrubChunk(name string) (bool, error) {
-	s.mu.Lock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
-	s.mu.Unlock()
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+func (s *Store) ScrubChunk(key ChunkKey) (bool, error) {
+	info, err := s.find(key)
+	if err != nil {
+		return false, err
 	}
 	if !info.hasData {
 		return !info.corrupted, nil
 	}
-	_, payload, err := s.ReadChunk(name)
+	_, payload, err := s.ReadChunk(key)
 	if err != nil {
 		return false, err
 	}
 	return crc32.ChecksumIEEE(payload) == info.checksum, nil
 }
 
-// HasChunk reports whether the named chunk exists.
-func (s *Store) HasChunk(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.materializeBulkLocked()
-	_, ok := s.lookupLocked(name)
-	return ok
+// HasChunk reports whether the chunk exists.
+func (s *Store) HasChunk(key ChunkKey) bool {
+	_, err := s.find(key)
+	return err == nil
 }
 
 // ChunkSize returns the stored (padded) size of a chunk.
-func (s *Store) ChunkSize(name string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
-	}
-	return info.size, nil
+func (s *Store) ChunkSize(key ChunkKey) (int64, error) {
+	info, err := s.find(key)
+	return info.size, err
 }
 
 // DeleteChunk removes a chunk and its metadata.
-func (s *Store) DeleteChunk(name string) error {
+func (s *Store) DeleteChunk(key ChunkKey) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutableLocked("DeleteChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(key)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return fmt.Errorf("%w: %v", ErrNoSuchChunk, key)
 	}
-	s.dropLocked(name, info)
+	s.dropLocked(key, info)
 	return nil
 }
 
-func (s *Store) dropLocked(name string, info chunkInfo) {
-	s.dataAllocated -= info.allocated
+func (s *Store) dropLocked(key ChunkKey, info chunkInfo) {
+	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
 	s.accountedMeta -= s.metaRecordBytes(info.size)
 	s.ecMetaBytes -= int64(s.cfg.ECMetaFraction * float64(info.share))
-	if info.hasData {
-		s.kv.Delete("o/" + name)
-	} else {
-		s.kv.DeleteAccounted(len("o/")+len(name), int(s.cfg.OnodeBytes))
-	}
-	delete(s.chunks, name)
-	if s.base != nil {
-		if _, ok := s.base[name]; ok {
-			if s.baseDeleted == nil {
-				s.baseDeleted = map[string]bool{}
-			}
-			s.baseDeleted[name] = true
-		}
-	}
+	s.kv.DeleteAccounted(key.onodeKeyLen(), int(s.cfg.OnodeBytes))
+	delete(s.chunks, key)
+	s.tombstoneLocked(key)
 }
 
 // Chunks returns the number of stored chunks.
@@ -581,13 +525,11 @@ func (s *Store) SetDataWorkingSet(bytes int64) {
 	s.dataWorkingSet = bytes
 }
 
-// Freeze materializes any deferred bulk entries, then makes the store
-// and its device and KV store immutable so they can serve as shared
-// copy-on-write bases for Fork. Idempotent.
+// Freeze makes the store and its device and KV store immutable so they
+// can serve as shared copy-on-write bases for Fork. Idempotent.
 func (s *Store) Freeze() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.materializeBulkLocked()
 	s.frozen = true
 	s.kv.Freeze()
 	s.dev.Freeze()
@@ -632,7 +574,7 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 		cfg:            cfg,
 		dev:            dev,
 		kv:             kv,
-		chunks:         map[string]chunkInfo{},
+		chunks:         map[ChunkKey]chunkInfo{},
 		base:           s.chunks,
 		dataAllocated:  s.dataAllocated,
 		nextOffset:     s.nextOffset,
@@ -657,7 +599,7 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 
 	var kvCache, metaCache, dataCache float64
 	if s.cfg.Cache.Autotune {
-		kvCache, metaCache, dataCache = waterFill(total, kvNeed, metaNeed, dataNeed)
+		kvCache, metaCache, dataCache = waterFill(total, [3]float64{kvNeed, metaNeed, dataNeed})
 	} else {
 		rk, rm, rd := s.cfg.Cache.KVRatio, s.cfg.Cache.MetaRatio, s.cfg.Cache.DataRatio
 		sum := rk + rm + rd
@@ -683,19 +625,18 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 
 // waterFill splits cache across pools proportionally to demand, never
 // granting a pool more than it needs, and redistributing the surplus.
-func waterFill(total float64, needs ...float64) (a, b, c float64) {
-	grant := make([]float64, len(needs))
-	remainingNeeds := append([]float64(nil), needs...)
+func waterFill(total float64, needs [3]float64) (a, b, c float64) {
+	var grant [3]float64
 	remaining := total
 	for iter := 0; iter < 4; iter++ {
 		sum := 0.0
-		for _, n := range remainingNeeds {
+		for _, n := range needs {
 			sum += n
 		}
 		if sum <= 0 || remaining <= 0 {
 			break
 		}
-		for i, n := range remainingNeeds {
+		for i, n := range needs {
 			if n <= 0 {
 				continue
 			}
@@ -704,11 +645,11 @@ func waterFill(total float64, needs ...float64) (a, b, c float64) {
 				share = n
 			}
 			grant[i] += share
-			remainingNeeds[i] -= share
+			needs[i] -= share
 		}
 		granted := 0.0
-		for i := range grant {
-			granted += grant[i]
+		for _, g := range grant {
+			granted += g
 		}
 		remaining = total - granted
 	}

@@ -13,9 +13,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/blockdev"
 	"repro/internal/bluestore"
@@ -43,6 +42,7 @@ var (
 	ErrNoObject    = errors.New("cluster: no such object")
 	ErrPoolExists  = errors.New("cluster: pool exists")
 	ErrBadGeometry = errors.New("cluster: invalid cluster geometry")
+	ErrNameTooLong = errors.New("cluster: chunk name too long")
 )
 
 // LogFunc receives framework log lines (simulated time, node, message).
@@ -106,6 +106,7 @@ func (o *OSD) MarkDown() { o.up = false }
 
 // ObjectRecord tracks one stored object within a PG.
 type ObjectRecord struct {
+	id        uint32 // unique within the pool; names its chunks in the stores
 	Name      string
 	Size      int64
 	ChunkSize int64
@@ -133,6 +134,9 @@ type Pool struct {
 	// cfg is the normalized PoolConfig the pool was created with, kept so
 	// Snapshot/Fork can rebuild the pool without re-running CRUSH.
 	cfg PoolConfig
+
+	id         uint32 // unique within the cluster and its forks
+	nextObject uint32 // id of the next object record
 }
 
 // PoolConfig parameterizes CreatePool.
@@ -326,6 +330,12 @@ func (c *Cluster) CreatePool(pc PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	if uint64(pc.PGNum) > math.MaxUint32 {
+		return nil, fmt.Errorf("cluster: pool %q pg_num %d exceeds %d", pc.Name, pc.PGNum, uint32(math.MaxUint32))
+	}
+	if chunkNameLen(pc.Name, pc.PGNum-1, "", code.N()-1) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: pool name of %d bytes", ErrNameTooLong, len(pc.Name))
+	}
 	pool := &Pool{
 		Name:          pc.Name,
 		Plugin:        pc.Plugin,
@@ -334,6 +344,7 @@ func (c *Cluster) CreatePool(pc PoolConfig) (*Pool, error) {
 		StripeUnit:    pc.StripeUnit,
 		FailureDomain: pc.FailureDomain,
 		cfg:           pc,
+		id:            uint32(len(c.pools)),
 	}
 	poolSeed := nameHash(pc.Name)
 	for pg := 0; pg < pc.PGNum; pg++ {
@@ -365,22 +376,51 @@ func (p *Pool) pgOf(name string) *PG {
 // PGOf returns the placement group an object name maps to.
 func (p *Pool) PGOf(name string) *PG { return p.pgOf(name) }
 
-// chunkName is the per-shard object name on an OSD.
-// chunkName formats "<pool>/<pg>/<object>/s<shard>". It is on the bulk
-// load and recovery write paths (one call per stored chunk), so it
-// appends into an exactly sized buffer instead of going through fmt.
-func chunkName(pool string, pg int, object string, shard int) string {
-	var sb strings.Builder
-	var tmp [20]byte
-	sb.Grow(len(pool) + len(object) + 24)
-	sb.WriteString(pool)
-	sb.WriteByte('/')
-	sb.Write(strconv.AppendInt(tmp[:0], int64(pg), 10))
-	sb.WriteByte('/')
-	sb.WriteString(object)
-	sb.WriteString("/s")
-	sb.Write(strconv.AppendInt(tmp[:0], int64(shard), 10))
-	return sb.String()
+// chunkKey is the store key of one shard of an object. Its NameLen is
+// the length of the shard's Ceph object name "<pool>/<pg>/<object>/s<shard>",
+// computed without building the name; nextRecord has checked that it
+// fits, and shards fit because GF(2^8) codes have at most 256.
+func (p *Pool) chunkKey(pg *PG, rec *ObjectRecord, shard int) bluestore.ChunkKey {
+	return bluestore.ChunkKey{
+		Pool:    p.id,
+		PG:      uint32(pg.ID),
+		Object:  rec.id,
+		Shard:   uint16(shard),
+		NameLen: uint16(chunkNameLen(p.Name, pg.ID, rec.Name, shard)),
+	}
+}
+
+// chunkNameLen is len(fmt.Sprintf("%s/%d/%s/s%d", pool, pg, object, shard))
+// for non-negative pg and shard.
+func chunkNameLen(pool string, pg int, object string, shard int) int {
+	return len(pool) + len(object) + len("///s") + decimalLen(pg) + decimalLen(shard)
+}
+
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// nextRecord returns a record for a new object of pg under the pool's
+// next object id. The id is only consumed when addRecord files the
+// record, so a write that fails first is retried under the same keys.
+func (p *Pool) nextRecord(pg *PG, name string) (*ObjectRecord, error) {
+	if chunkNameLen(p.Name, pg.ID, name, p.Code.N()-1) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: object name of %d bytes in pool %q", ErrNameTooLong, len(name), p.Name)
+	}
+	if p.nextObject == math.MaxUint32 {
+		return nil, fmt.Errorf("cluster: pool %q is out of object ids", p.Name)
+	}
+	return &ObjectRecord{id: p.nextObject, Name: name}, nil
+}
+
+// addRecord files a record from nextRecord in its PG.
+func (p *Pool) addRecord(pg *PG, rec *ObjectRecord) {
+	pg.Objects = append(pg.Objects, rec)
+	p.nextObject++
 }
 
 // storedChunkSize returns the on-disk chunk size for an object: the
@@ -421,15 +461,20 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 		if err != nil {
 			return err
 		}
+		rec, err := pool.nextRecord(pg, o.Name)
+		if err != nil {
+			return err
+		}
+		rec.Size, rec.ChunkSize = o.Size, cs
+		pool.addRecord(pg, rec)
 		share := o.Size / int64(n)
 		for shard, osdID := range pg.Acting {
 			batches[osdID] = append(batches[osdID], bluestore.BulkChunk{
-				Name:  chunkName(pool.Name, pg.ID, o.Name, shard),
+				Key:   pool.chunkKey(pg, rec, shard),
 				Size:  cs,
 				Share: share,
 			})
 		}
-		pg.Objects = append(pg.Objects, &ObjectRecord{Name: o.Name, Size: o.Size, ChunkSize: cs})
 	}
 	for osdID, batch := range batches {
 		if len(batch) == 0 {
@@ -467,11 +512,17 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	pg := pool.pgOf(name)
+	pg, rec, _ := pool.findObject(name)
 	code := pool.Code
 	cs, err := pool.storedChunkSize(int64(len(data)), true)
 	if err != nil {
 		return err
+	}
+	existing := rec != nil
+	if !existing {
+		if rec, err = pool.nextRecord(pg, name); err != nil {
+			return err
+		}
 	}
 	shards := make([][]byte, code.N())
 	for i := 0; i < code.K(); i++ {
@@ -494,18 +545,16 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 		if !osd.up {
 			continue // degraded write: shard stays missing until recovery
 		}
-		cn := chunkName(pool.Name, pg.ID, name, shard)
-		if err := osd.Store.WriteChunk(cn, cs, share, shards[shard]); err != nil {
+		if err := osd.Store.WriteChunk(pool.chunkKey(pg, rec, shard), cs, share, shards[shard]); err != nil {
 			return err
 		}
 	}
-	if _, existing, _ := pool.findObject(name); existing != nil {
-		existing.Size = int64(len(data))
-		existing.ChunkSize = cs
-		existing.Payload = true
-		return nil
+	rec.Size = int64(len(data))
+	rec.ChunkSize = cs
+	rec.Payload = true
+	if !existing {
+		pool.addRecord(pg, rec)
 	}
-	pg.Objects = append(pg.Objects, &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true})
 	return nil
 }
 
@@ -527,7 +576,7 @@ func (c *Cluster) DeleteObject(poolName, name string) error {
 		}
 		// Chunks may be missing on OSDs that joined after a degraded
 		// write; ignore not-found.
-		_ = osd.Store.DeleteChunk(chunkName(pool.Name, pg.ID, name, shard))
+		_ = osd.Store.DeleteChunk(pool.chunkKey(pg, rec, shard))
 	}
 	pg.Objects = append(pg.Objects[:idx], pg.Objects[idx+1:]...)
 	return nil
@@ -575,7 +624,7 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 		if !osd.up {
 			continue
 		}
-		_, buf, err := osd.Store.ReadChunk(chunkName(pool.Name, pg.ID, name, shard))
+		_, buf, err := osd.Store.ReadChunk(pool.chunkKey(pg, rec, shard))
 		if err != nil {
 			continue
 		}

@@ -21,10 +21,13 @@ type snapPG struct {
 
 // snapPool captures one pool: its normalized creation config (so forks
 // look up the shared erasure code without re-running CRUSH for 256 PG
-// placements) and its PGs.
+// placements), its ids (so forks address the frozen chunks and give new
+// objects fresh ids) and its PGs.
 type snapPool struct {
-	cfg PoolConfig
-	pgs []snapPG
+	cfg        PoolConfig
+	id         uint32
+	nextObject uint32
+	pgs        []snapPG
 }
 
 // Snapshot is an immutable populated-cluster image. It holds the frozen
@@ -56,7 +59,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		pool := c.pools[name]
-		sp := snapPool{cfg: pool.cfg}
+		sp := snapPool{cfg: pool.cfg, id: pool.id, nextObject: pool.nextObject}
 		for _, pg := range pool.PGs {
 			objs := pg.Objects
 			sp.pgs = append(sp.pgs, snapPG{
@@ -114,6 +117,8 @@ func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 			StripeUnit:    sp.cfg.StripeUnit,
 			FailureDomain: sp.cfg.FailureDomain,
 			cfg:           sp.cfg,
+			id:            sp.id,
+			nextObject:    sp.nextObject,
 		}
 		for i := range sp.pgs {
 			spg := &sp.pgs[i]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide check: vet + build + tier-1 tests + race audit of the
-# concurrent packages. Run from the repo root: ./scripts/check.sh
+# Repo-wide check: vet + build + tier-1 tests + the benchmark's
+# self-check + race audit of the concurrent packages. Run from the repo
+# root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,9 @@ go build ./...
 
 echo "== go test (tier 1) =="
 go test ./...
+
+echo "== perfbench self-check (pinned campaign digest, planted-fault gates) =="
+(cd perfbench && go test -count=1 ./...)
 
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
