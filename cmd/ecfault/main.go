@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cephconf"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/profutil"
 	"repro/internal/report"
 )
@@ -33,12 +32,7 @@ func main() {
 	emitClay := flag.Bool("clay", false, "print the Clay(12,9,11) profile and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	simWorkers := flag.Int("sim-workers", 0, "event-engine workers for one run (0 = ECFAULT_SIM_WORKERS, default serial); results are byte-identical at any setting")
 	flag.Parse()
-
-	if *simWorkers > 0 {
-		parallel.SetSimWorkers(*simWorkers)
-	}
 
 	stopProf, err := profutil.Start(*cpuProfile, *memProfile)
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 	_ "repro/internal/erasure/reedsolomon"
 	_ "repro/internal/erasure/shec"
 
-	"repro/internal/parallel"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
 	"repro/internal/wamodel"
@@ -43,6 +42,7 @@ var (
 	ErrPoolExists  = errors.New("cluster: pool exists")
 	ErrBadGeometry = errors.New("cluster: invalid cluster geometry")
 	ErrNameTooLong = errors.New("cluster: chunk name too long")
+	ErrBadNetwork  = errors.New("cluster: invalid network config")
 )
 
 // LogFunc receives framework log lines (simulated time, node, message).
@@ -61,12 +61,6 @@ type Config struct {
 	Cost  CostModel
 	// Log, if set, receives all node log lines.
 	Log LogFunc
-	// SimWorkers selects the event-engine execution mode RunSim uses:
-	// > 1 drives the simulation through the conservative time-partitioned
-	// parallel engine (byte-identical to serial execution), 1 stays on
-	// the serial engine, and 0 resolves to parallel.SimWorkers()
-	// (ECFAULT_SIM_WORKERS, default 1).
-	SimWorkers int
 }
 
 // DefaultConfig mirrors the paper's testbed shape: 30 OSD hosts with two
@@ -87,6 +81,8 @@ type OSD struct {
 	ID    int
 	Host  string
 	Store *bluestore.Store
+
+	nic *simnet.NIC // the host's interface, resolved once for the hot path
 
 	up bool // process alive
 	in bool // in the CRUSH map
@@ -178,7 +174,9 @@ func New(cfg Config) (*Cluster, error) {
 	})
 }
 
-// normalizeClusterConfig applies the zero-value defaults New documents.
+// normalizeClusterConfig applies the zero-value defaults New documents
+// and rejects what it cannot default: a negative or NaN bandwidth, and a
+// negative latency.
 func normalizeClusterConfig(cfg Config) (Config, error) {
 	if cfg.Hosts <= 0 || cfg.OSDsPerHost <= 0 {
 		return cfg, fmt.Errorf("%w: hosts=%d osdsPerHost=%d", ErrBadGeometry, cfg.Hosts, cfg.OSDsPerHost)
@@ -189,11 +187,11 @@ func normalizeClusterConfig(cfg Config) (Config, error) {
 	if cfg.Net.BandwidthBytesPerSec == 0 {
 		cfg.Net = simnet.DefaultConfig()
 	}
+	if bw := cfg.Net.BandwidthBytesPerSec; !(bw > 0) || cfg.Net.Latency < 0 {
+		return cfg, fmt.Errorf("%w: bandwidth=%v B/s latency=%v", ErrBadNetwork, bw, cfg.Net.Latency)
+	}
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
-	}
-	if cfg.SimWorkers == 0 {
-		cfg.SimWorkers = parallel.SimWorkers()
 	}
 	return cfg, nil
 }
@@ -241,6 +239,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 		if err := net.AddHost(host); err != nil {
 			return nil, err
 		}
+		nic := net.NIC(host)
 		for d := 0; d < cfg.OSDsPerHost; d++ {
 			id, err := b.AddOSD(host, 1.0)
 			if err != nil {
@@ -258,6 +257,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 				ID:      id,
 				Host:    host,
 				Store:   store,
+				nic:     nic,
 				up:      true,
 				in:      true,
 				disk:    sim.NewQueue(1),
@@ -276,16 +276,8 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 func (c *Cluster) Sim() *simclock.Sim { return c.sim }
 
 // RunSim drives the simulation to completion and returns the final
-// simulated time. With a configured worker budget above one it uses the
-// conservative time-partitioned parallel engine, with the lookahead
-// window derived from the minimum simnet link latency; results are
-// byte-identical to the serial engine either way.
-func (c *Cluster) RunSim() simclock.Time {
-	if w := c.cfg.SimWorkers; w > 1 {
-		return c.sim.RunParallel(w, c.net.Lookahead())
-	}
-	return c.sim.Run()
-}
+// simulated time.
+func (c *Cluster) RunSim() simclock.Time { return c.sim.Run() }
 
 // Net exposes the network fabric.
 func (c *Cluster) Net() *simnet.Network { return c.net }

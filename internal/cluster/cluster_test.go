@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -43,6 +46,34 @@ func rsPool(t *testing.T, c *Cluster, pgs int) *Pool {
 func TestNewValidatesGeometry(t *testing.T) {
 	if _, err := New(Config{Hosts: 0, OSDsPerHost: 1}); err == nil {
 		t.Fatal("zero hosts accepted")
+	}
+}
+
+// TestNewRejectsBadNetwork: a network config New cannot default must
+// come back as ErrBadNetwork, never a panic or a silent clamp.
+func TestNewRejectsBadNetwork(t *testing.T) {
+	cases := []struct {
+		name string
+		net  simnet.Config
+		ok   bool
+	}{
+		{"zero bandwidth defaults", simnet.Config{}, true},
+		{"zero bandwidth defaults the latency too", simnet.Config{Latency: -time.Second}, true},
+		{"zero latency", simnet.Config{BandwidthBytesPerSec: 1e9}, true},
+		{"negative bandwidth", simnet.Config{BandwidthBytesPerSec: -1e9, Latency: time.Microsecond}, false},
+		{"NaN bandwidth", simnet.Config{BandwidthBytesPerSec: math.NaN(), Latency: time.Microsecond}, false},
+		{"negative latency", simnet.Config{BandwidthBytesPerSec: 1e9, Latency: -time.Microsecond}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{Hosts: 2, OSDsPerHost: 1, DeviceCapacity: 1 << 30, Net: tc.net})
+			if tc.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadNetwork) {
+				t.Fatalf("err = %v, want ErrBadNetwork", err)
+			}
+		})
 	}
 }
 

@@ -615,7 +615,7 @@ func helperReadDone(a any) {
 	_ = helper.Store.Device().AccountRead(hio.diskBytes)
 	pr.res.HelperDiskBytes += hio.diskBytes
 	or.srcBytes += hio.netBytes
-	pr.c.net.TransferArg(helper.Host, pr.primary.Host, hio.netBytes, helperShipDone, hr)
+	pr.c.net.TransferArg(helper.nic, pr.primary.nic, hio.netBytes, helperShipDone, hr)
 }
 
 func helperShipDone(a any) {
@@ -656,7 +656,7 @@ func decodeDone(a any) {
 		target := c.osds[pr.targets[li]]
 		w := c.newChunkWrite()
 		w.or, w.li = or, li
-		c.net.TransferArg(pr.primary.Host, target.Host, obj.ChunkSize, writeShipDone, w)
+		c.net.TransferArg(pr.primary.nic, target.nic, obj.ChunkSize, writeShipDone, w)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -38,6 +39,8 @@ func TestDefaultProfileValid(t *testing.T) {
 func TestProfileValidationRejects(t *testing.T) {
 	mutations := []func(*Profile){
 		func(p *Profile) { p.Cluster.Hosts = 0 },
+		func(p *Profile) { p.Cluster.NetworkGbps = -10 },
+		func(p *Profile) { p.Cluster.NetworkGbps = math.NaN() },
 		func(p *Profile) { p.Pool.K = 0 },
 		func(p *Profile) { p.Pool.PGNum = 0 },
 		func(p *Profile) { p.Pool.StripeUnit = 0 },

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/bluestore"
@@ -221,6 +222,9 @@ func (p *Profile) Validate() error {
 	}
 	if p.Cluster.Hosts <= 0 || p.Cluster.OSDsPerHost <= 0 {
 		return bad("cluster needs hosts and osds per host")
+	}
+	if g := p.Cluster.NetworkGbps; g < 0 || math.IsNaN(g) {
+		return bad("network_gbps must be positive, or 0 for the default (got %v)", g)
 	}
 	if p.Pool.K <= 0 || p.Pool.M <= 0 {
 		return bad("pool needs k > 0 and m > 0")

@@ -20,11 +20,10 @@ import (
 // of the order the simulation happened to produce the lines. This
 // regression test pins that contract by producing colliding timestamps
 // across nodes in adversarial (reversed, rotated) schedule order through
-// a real Sim, on the serial engine and the time-partitioned parallel
-// engine, and asserting the merged stream has the same tie pattern at
-// every instant and is byte-identical across engines.
+// a real Sim and asserting the merged stream has the same tie pattern at
+// every instant and is byte-identical across runs.
 
-func runFlushOrder(t *testing.T, workers int) []Entry {
+func runFlushOrder(t *testing.T) []Entry {
 	t.Helper()
 	sim := simclock.New()
 	broker := msgbus.NewBroker()
@@ -61,11 +60,7 @@ func runFlushOrder(t *testing.T, workers int) []Entry {
 			})
 		}
 	}
-	if workers <= 1 {
-		sim.Run()
-	} else {
-		sim.RunParallel(workers, 25*time.Microsecond)
-	}
+	sim.Run()
 
 	// Flush in sorted node-name order, exactly as the coordinator does.
 	names := make([]string, 0, len(loggers))
@@ -86,7 +81,7 @@ func runFlushOrder(t *testing.T, workers int) []Entry {
 }
 
 func TestFlushOrderBreaksTimestampTies(t *testing.T) {
-	serial := runFlushOrder(t, 1)
+	serial := runFlushOrder(t)
 	if len(serial) != 16*4*2 {
 		t.Fatalf("merged %d entries, want %d", len(serial), 16*4*2)
 	}
@@ -136,17 +131,14 @@ func TestFlushOrderBreaksTimestampTies(t *testing.T) {
 		}
 	}
 
-	// The parallel engine must reproduce the stream byte-for-byte.
-	for _, workers := range []int{2, 4} {
-		par := runFlushOrder(t, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d entries, serial %d", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("workers=%d: entry %d diverged\nserial   %+v\nparallel %+v",
-					workers, i, serial[i], par[i])
-			}
+	// A second run must reproduce the stream byte-for-byte.
+	again := runFlushOrder(t)
+	if len(again) != len(serial) {
+		t.Fatalf("rerun merged %d entries, first run %d", len(again), len(serial))
+	}
+	for i := range serial {
+		if serial[i] != again[i] {
+			t.Fatalf("entry %d diverged across runs\nfirst %+v\nrerun %+v", i, serial[i], again[i])
 		}
 	}
 }

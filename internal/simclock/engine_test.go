@@ -204,11 +204,12 @@ func TestArgVariantsDeliverArg(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree verifies the hot path stays allocation-free
-// once the heap slice, ring and job freelist are warm: scheduling through
-// the *Arg variants and running to empty must not allocate.
+// once the heap slice, slab, free stack and rings are warm: scheduling
+// through the *Arg variants and running to empty must not allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
 	s := New()
 	q := s.NewQueue(2)
+	line := s.NewDelayLine(time.Microsecond)
 	var hits int
 	bump := func(any) { hits++ }
 	load := func() {
@@ -216,12 +217,153 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			s.AtArg(base+Time(i)*time.Millisecond, bump, nil)
 			q.SubmitArg(time.Millisecond, bump, nil)
+			line.AddArg(bump, nil)
 		}
 		s.Run()
 	}
-	load() // warm the heap capacity, ring and freelist
+	load() // warm the heap capacity, slab, free stack and rings
 	allocs := testing.AllocsPerRun(10, load)
 	if allocs != 0 {
 		t.Fatalf("steady-state run allocated %.1f times per cycle", allocs)
 	}
+}
+
+// checkNoFiredArgs fails t if any slab record or delay-line slot still
+// references an argument whose callback has fired.
+func checkNoFiredArgs(t *testing.T, s *Sim, fired map[*int]bool) {
+	t.Helper()
+	for i, c := range s.calls {
+		if p, ok := c.arg.(*int); ok && fired[p] {
+			t.Fatalf("slab slot %d still holds fired arg %d", i, *p)
+		}
+	}
+	for li, l := range s.lines {
+		for i, e := range l.ring {
+			if p, ok := e.arg.(*int); ok && fired[p] {
+				t.Fatalf("line %d slot %d still holds fired arg %d", li, i, *p)
+			}
+		}
+	}
+}
+
+// TestFiredArgsReleased pins slab and line hygiene: once a callback has
+// fired, neither its slab record nor its line slot may keep its argument
+// reachable (pooled arguments would otherwise leak through the engine),
+// after RunUntil stops mid-run and after Run drains.
+func TestFiredArgsReleased(t *testing.T) {
+	s := New()
+	q := s.NewQueue(1)
+	lines := []*DelayLine{s.NewDelayLine(0), s.NewDelayLine(3 * time.Millisecond)}
+	fired := map[*int]bool{}
+	var args []*int
+	mark := func(a any) { fired[a.(*int)] = true }
+	for i := 0; i < 40; i++ {
+		p := new(int)
+		*p = i
+		args = append(args, p)
+		switch i % 4 {
+		case 0:
+			s.AtArg(Time(i)*time.Millisecond, mark, p)
+		case 1:
+			q.SubmitArg(2*time.Millisecond, mark, p) // most of these wait
+		default:
+			s.AtArg(Time(i)*time.Millisecond, func(a any) {
+				mark(a)
+				lines[i%2].AddArg(mark, new(int))
+			}, p)
+		}
+	}
+	s.RunUntil(20 * time.Millisecond)
+	if len(fired) == 0 || len(fired) == len(args) {
+		t.Fatalf("RunUntil fired %d of %d roots; want a partial run", len(fired), len(args))
+	}
+	checkNoFiredArgs(t, s, fired)
+	s.Run()
+	checkNoFiredArgs(t, s, fired)
+	for i, c := range s.calls {
+		if c.fn != nil || c.arg != nil || c.q != nil {
+			t.Fatalf("slab slot %d not cleared after Run: %+v", i, c)
+		}
+	}
+	for li, l := range s.lines {
+		for i, e := range l.ring {
+			if e.fn != nil || e.arg != nil || e.at != 0 || e.seq != 0 {
+				t.Fatalf("line %d slot %d not cleared after Run: %+v", li, i, e)
+			}
+		}
+	}
+}
+
+// TestSlabReusesSlots runs 100k events with bounded concurrency (64
+// self-rescheduling chains plus a queue and a delay line) and checks the
+// slab never outgrows the heap's high-water mark: fired slots are reused
+// rather than appended. Line events never take a slab slot.
+func TestSlabReusesSlots(t *testing.T) {
+	s := New()
+	q := s.NewQueue(3)
+	line := s.NewDelayLine(5 * time.Microsecond)
+	highWater := 0
+	events := 0
+	var chain func(a any)
+	chain = func(a any) {
+		events++
+		h := mix(uint64(events))
+		if events < 100_000 {
+			switch h % 3 {
+			case 0:
+				s.AfterArg(Time(h%uint64(time.Millisecond)), chain, a)
+			case 1:
+				q.SubmitArg(Time(h%uint64(20*time.Microsecond)), chain, a)
+			default:
+				line.AddArg(chain, a)
+			}
+		}
+		highWater = max(highWater, len(s.heap))
+	}
+	for i := 0; i < 64; i++ {
+		s.AtArg(Time(i)*time.Microsecond, chain, nil)
+	}
+	highWater = len(s.heap)
+	s.Run()
+	if events < 100_000 {
+		t.Fatalf("ran %d events, want at least 100000", events)
+	}
+	if len(s.calls) != highWater {
+		t.Fatalf("slab grew to %d records; heap high-water mark is %d", len(s.calls), highWater)
+	}
+}
+
+// TestPendingCountsLines checks Pending covers both the heap and the
+// delay lines, before and after a partial run.
+func TestPendingCountsLines(t *testing.T) {
+	s := New()
+	line := s.NewDelayLine(2 * time.Second)
+	noop := func(any) {}
+	for i := 1; i <= 3; i++ {
+		s.AtArg(Time(i)*time.Second, noop, nil)
+	}
+	line.AddArg(noop, nil)
+	line.AddArg(noop, nil)
+	if got := s.Pending(); got != 5 {
+		t.Fatalf("pending = %d, want 5", got)
+	}
+	s.RunUntil(2 * time.Second) // fires the heap events at 1s, 2s and both line events
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("pending after RunUntil = %d, want 1", got)
+	}
+	s.Run()
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("pending after Run = %d", got)
+	}
+}
+
+// TestNegativeDelayLinePanics: a line's fixed delay must not point into
+// the past.
+func TestNegativeDelayLinePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative delay accepted")
+		}
+	}()
+	New().NewDelayLine(-time.Nanosecond)
 }

@@ -4,18 +4,28 @@
 // running in real time.
 //
 // Events scheduled for the same instant fire in scheduling order, making
-// runs fully reproducible: the heap orders by (time, sequence number) and
-// every scheduling call — At, After, Queue.Submit — consumes exactly one
-// sequence number, so the firing order is a pure function of the
-// scheduling order regardless of heap internals.
+// runs fully reproducible: every event is ordered by (time, sequence
+// number) and every scheduling call — At, After, Queue.Submit,
+// DelayLine.AddArg — consumes exactly one sequence number, so the firing
+// order is a pure function of the scheduling order regardless of where
+// the event waits.
 //
-// The hot path is allocation-free. Events are value-typed entries in an
-// implicit 4-ary min-heap (no container/heap interface boxing), callbacks
-// are fixed-arg pairs (fn func(any), arg any) — func values and pointers
-// are pointer-shaped, so storing them in an `any` does not allocate — and
-// in-service Queue jobs ride pooled nodes recycled through a freelist.
-// The closure-based At/After/Submit signatures remain for cold paths;
-// hot callers use the *Arg variants with a pooled or long-lived argument.
+// Events wait in one of two places. The general case is an implicit 4-ary
+// min-heap of pointer-free {at, seq, slot} entries; the callback itself
+// lives in a slab record indexed by slot, and fired slots are recycled
+// through a free-index stack. Sifting therefore moves 24-byte scalar
+// entries the garbage collector never scans. Events that fire a
+// fixed delay after they are scheduled (network deliveries) skip the heap
+// entirely and wait on a DelayLine, a FIFO ring that is sorted by
+// construction. Run merges the heap top with the line heads.
+//
+// The hot path is allocation-free. Callbacks are fixed-arg pairs
+// (fn func(any), arg any) — func values and pointers are pointer-shaped,
+// so storing them in an `any` does not allocate — and a Queue completion
+// is a slab record that names its Queue, so running a job needs no node
+// of its own. The closure-based At/After/Submit signatures remain for
+// cold paths; hot callers use the *Arg variants with a pooled or
+// long-lived argument.
 package simclock
 
 import (
@@ -27,34 +37,36 @@ import (
 type Time = time.Duration
 
 // Sim is a discrete-event simulator. It is not safe for concurrent use;
-// everything runs on the caller's goroutine inside Run. RunParallel keeps
-// the same contract: callbacks always execute on the committing goroutine,
-// one at a time, in the exact order Run would fire them.
+// everything runs on the caller's goroutine inside Run.
 type Sim struct {
-	now    Time
-	events []event // implicit 4-ary min-heap on (at, seq)
-	seq    uint64
+	now Time
+	seq uint64
 
-	freeJobs *job // freelist of in-service Queue job nodes
+	heap  []entry  // implicit 4-ary min-heap on (at, seq)
+	calls []call   // slab of heap-event callbacks, indexed by entry.slot
+	free  []uint32 // recycled slab slots
 
-	// par is non-nil while RunParallel is draining the simulation; it
-	// redirects schedule calls for beyond-window times to the sharded
-	// event streams (see parallel.go).
-	par *parRun
+	lines []*DelayLine // fixed-delay FIFO lines, merged with the heap
 }
 
-// event is one scheduled callback. fn and arg are stored separately so
-// scheduling never allocates: a bound closure would escape to the heap on
-// every call, a func value or pointer stored in an `any` does not.
-type event struct {
-	at  Time
-	seq uint64
+// entry is one heap-scheduled event. It holds no pointers: the callback
+// sits in the slab, so sifting copies plain scalars.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// call is a slab record: the callback of one heap event. q is set for a
+// Queue completion, which frees a server before fn runs.
+type call struct {
 	fn  func(any)
 	arg any
-}
-
-func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+	q   *Queue
 }
 
 // New returns a simulator at time zero.
@@ -68,17 +80,17 @@ func (s *Sim) Now() Time { return s.now }
 func callThunk(a any) { a.(func())() }
 
 // At schedules fn at absolute time t, which must not be in the past.
-func (s *Sim) At(t Time, fn func()) { s.schedule(t, callThunk, fn) }
+func (s *Sim) At(t Time, fn func()) { s.schedule(t, callThunk, fn, nil) }
 
 // AtArg schedules fn(arg) at absolute time t without allocating.
-func (s *Sim) AtArg(t Time, fn func(any), arg any) { s.schedule(t, fn, arg) }
+func (s *Sim) AtArg(t Time, fn func(any), arg any) { s.schedule(t, fn, arg, nil) }
 
 // After schedules fn d from now. Negative d is treated as zero.
 func (s *Sim) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now+d, callThunk, fn)
+	s.schedule(s.now+d, callThunk, fn, nil)
 }
 
 // AfterArg schedules fn(arg) d from now without allocating. Negative d is
@@ -87,31 +99,30 @@ func (s *Sim) AfterArg(d Time, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now+d, fn, arg)
+	s.schedule(s.now+d, fn, arg, nil)
 }
 
-func (s *Sim) schedule(t Time, fn func(any), arg any) {
+func (s *Sim) schedule(t Time, fn func(any), arg any, q *Queue) {
 	if t < s.now {
 		panic(fmt.Sprintf("simclock: scheduling into the past (%v < %v)", t, s.now))
 	}
 	s.seq++
-	e := event{at: t, seq: s.seq, fn: fn, arg: arg}
-	if p := s.par; p != nil && t > p.windowEnd {
-		// Parallel mode: events beyond the committing window are staged
-		// on a sharded stream, to be drained and pre-sorted by the
-		// worker pool at a later window boundary. Events inside the
-		// window fall through to s.events, which doubles as the
-		// window's overflow heap (see parallel.go).
-		p.route(e)
-		return
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = uint32(len(s.calls))
+		s.calls = append(s.calls, call{})
 	}
-	s.events = append(s.events, e)
-	heapUp(s.events, len(s.events)-1)
+	s.calls[slot] = call{fn: fn, arg: arg, q: q}
+	s.heap = append(s.heap, entry{at: t, seq: s.seq, slot: slot})
+	heapUp(s.heap, len(s.heap)-1)
 }
 
 // heapUp restores the heap property from leaf i toward the root. The
-// moving event is held in a register and written once at its final slot.
-func heapUp(h []event, i int) {
+// moving entry is held in registers and written once at its final slot.
+func heapUp(h []entry, i int) {
 	e := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -127,7 +138,7 @@ func heapUp(h []event, i int) {
 // heapDown restores the heap property from slot i toward the leaves. With
 // four children per node the tree is half as deep as a binary heap, which
 // pays off on the pop-heavy event loop.
-func heapDown(h []event, i int) {
+func heapDown(h []entry, i int) {
 	n := len(h)
 	e := h[i]
 	for {
@@ -154,85 +165,181 @@ func heapDown(h []event, i int) {
 	h[i] = e
 }
 
-// heapPop removes and returns the earliest event of heap h. The vacated
-// tail slot is zeroed so pooled arguments do not leak through the heap's
-// spare capacity.
-func heapPop(h []event) (event, []event) {
-	e := h[0]
+// popHeap removes the earliest heap entry and returns its slab slot.
+func (s *Sim) popHeap() uint32 {
+	h := s.heap
+	slot := h[0].slot
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
+	s.heap = h[:n]
 	if n > 0 {
-		heapDown(h, 0)
+		heapDown(s.heap, 0)
 	}
-	return e, h
+	return slot
 }
 
-// pop removes and returns the earliest event.
-func (s *Sim) pop() event {
-	e, h := heapPop(s.events)
-	s.events = h
-	return e
+// fire runs the heap event in slot. The record is cleared and its slot
+// freed before anything runs, so the slab never pins a fired argument
+// and whatever the callback schedules can reuse the slot. For a Queue
+// completion the order — free the server, count the job served, promote
+// the oldest waiter, then call the job's callback — is load-bearing:
+// promoted work schedules its completion before anything the callback
+// schedules.
+func (s *Sim) fire(slot uint32) {
+	c := &s.calls[slot]
+	fn, arg, q := c.fn, c.arg, c.q
+	*c = call{}
+	s.free = append(s.free, slot)
+	if q != nil {
+		q.busy--
+		q.JobsServed++
+		if q.count > 0 {
+			w := q.popWait()
+			q.totalWaiting += s.now - w.queued
+			q.start(w.service, w.fn, w.arg)
+		}
+	}
+	if fn != nil {
+		fn(arg)
+	}
+}
+
+// next locates the earliest pending event across the heap top and the
+// line heads: its line (nil for the heap) and time. ok is false when
+// nothing is pending.
+func (s *Sim) next() (line *DelayLine, at Time, ok bool) {
+	var seq uint64
+	if len(s.heap) > 0 {
+		at, seq, ok = s.heap[0].at, s.heap[0].seq, true
+	}
+	for _, l := range s.lines {
+		if l.count == 0 {
+			continue
+		}
+		e := &l.ring[l.head]
+		if !ok || e.at < at || (e.at == at && e.seq < seq) {
+			line, at, seq, ok = l, e.at, e.seq, true
+		}
+	}
+	return line, at, ok
+}
+
+// step advances the clock to at and fires the earliest event, which next
+// found at the head of line (or of the heap when line is nil).
+func (s *Sim) step(line *DelayLine, at Time) {
+	s.now = at
+	if line != nil {
+		if fn, arg := line.pop(); fn != nil {
+			fn(arg)
+		}
+		return
+	}
+	s.fire(s.popHeap())
 }
 
 // Run processes events until none remain, returning the final time.
 func (s *Sim) Run() Time {
-	for len(s.events) > 0 {
-		e := s.pop()
-		s.now = e.at
-		e.fn(e.arg)
+	for {
+		line, at, ok := s.next()
+		if !ok {
+			return s.now
+		}
+		s.step(line, at)
 	}
-	return s.now
 }
 
 // RunUntil processes events with time <= t, then sets the clock to t.
 func (s *Sim) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		e := s.pop()
-		s.now = e.at
-		e.fn(e.arg)
+	for {
+		line, at, ok := s.next()
+		if !ok || at > t {
+			break
+		}
+		s.step(line, at)
 	}
 	if t > s.now {
 		s.now = t
 	}
 }
 
-// Pending reports the number of queued events, including events staged on
-// RunParallel's sharded streams.
+// Pending reports the number of queued events, on the heap and on every
+// DelayLine.
 func (s *Sim) Pending() int {
-	n := len(s.events)
-	if p := s.par; p != nil {
-		for i := range p.shards {
-			n += len(p.shards[i].events) + len(p.shards[i].batch) - p.shards[i].cursor
-		}
+	n := len(s.heap)
+	for _, l := range s.lines {
+		n += l.count
 	}
 	return n
 }
 
-// job is a pooled in-service Queue entry: it is the heap-event argument
-// for the job's completion, so running a job allocates nothing after the
-// freelist warms up.
-type job struct {
-	q    *Queue
-	fn   func(any)
-	arg  any
-	next *job
+// DelayLine is a FIFO of events that each fire a fixed delay after they
+// are scheduled. Because the clock never moves backwards and sequence
+// numbers only grow, successive entries have non-decreasing times and
+// increasing sequence numbers: the ring is already sorted by (at, seq),
+// so the engine only ever compares its head against the heap top.
+type DelayLine struct {
+	sim   *Sim
+	delay Time
+
+	// ring is a power-of-two ring buffer like Queue.waiting.
+	ring  []lineEvent
+	head  int
+	count int
 }
 
-func (s *Sim) newJob() *job {
-	if j := s.freeJobs; j != nil {
-		s.freeJobs = j.next
-		j.next = nil
-		return j
+type lineEvent struct {
+	at  Time
+	seq uint64
+	fn  func(any)
+	arg any
+}
+
+// NewDelayLine creates a line whose events fire delay (>= 0) after they
+// are added.
+func (s *Sim) NewDelayLine(delay Time) *DelayLine {
+	if delay < 0 {
+		panic("simclock: delay line needs a non-negative delay")
 	}
-	return &job{}
+	l := &DelayLine{sim: s, delay: delay}
+	s.lines = append(s.lines, l)
+	return l
 }
 
-func (s *Sim) freeJob(j *job) {
-	j.q, j.fn, j.arg = nil, nil, nil
-	j.next = s.freeJobs
-	s.freeJobs = j
+// AddArg schedules fn(arg) (fn may be nil) at the line's delay from now,
+// allocating nothing once the ring is warm. It consumes one sequence
+// number, exactly like AfterArg with the same delay.
+func (l *DelayLine) AddArg(fn func(any), arg any) {
+	s := l.sim
+	s.seq++
+	if l.count == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.count)&(len(l.ring)-1)] = lineEvent{at: s.now + l.delay, seq: s.seq, fn: fn, arg: arg}
+	l.count++
+}
+
+// pop removes the head event, clearing its ring slot so the line never
+// pins a fired argument.
+func (l *DelayLine) pop() (func(any), any) {
+	e := &l.ring[l.head]
+	fn, arg := e.fn, e.arg
+	*e = lineEvent{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.count--
+	return fn, arg
+}
+
+func (l *DelayLine) grow() {
+	size := len(l.ring) * 2
+	if size == 0 {
+		size = 8
+	}
+	next := make([]lineEvent, size)
+	for i := 0; i < l.count; i++ {
+		next[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring = next
+	l.head = 0
 }
 
 // Queue is a FIFO service center with a fixed number of parallel servers.
@@ -296,34 +403,12 @@ func (q *Queue) SubmitArg(service Time, fn func(any), arg any) {
 	q.pushWait(queuedJob{service: service, fn: fn, arg: arg, queued: q.sim.now})
 }
 
+// start occupies a server and schedules the job's completion, which
+// Sim.fire handles.
 func (q *Queue) start(service Time, fn func(any), arg any) {
 	q.busy++
 	q.BusyTime += service
-	j := q.sim.newJob()
-	j.q, j.fn, j.arg = q, fn, arg
-	q.sim.schedule(q.sim.now+service, jobDone, j)
-}
-
-// jobDone is the completion event for every in-service job. The order —
-// free a server, account the completion, promote the oldest waiter, then
-// fire the job's own callback — is load-bearing: promoted work schedules
-// its completion before anything the callback schedules, exactly as the
-// closure-based engine did.
-func jobDone(a any) {
-	j := a.(*job)
-	q := j.q
-	fn, arg := j.fn, j.arg
-	q.sim.freeJob(j)
-	q.busy--
-	q.JobsServed++
-	if q.count > 0 {
-		w := q.popWait()
-		q.totalWaiting += q.sim.now - w.queued
-		q.start(w.service, w.fn, w.arg)
-	}
-	if fn != nil {
-		fn(arg)
-	}
+	q.sim.schedule(q.sim.now+service, fn, arg, q)
 }
 
 func (q *Queue) pushWait(j queuedJob) {

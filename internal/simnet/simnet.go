@@ -2,7 +2,10 @@
 // of finite bandwidth, connected through a non-blocking core (a reasonable
 // model for the 25 Gb/s AWS fabric in the paper). Transfers contend for
 // the sender's egress and the receiver's ingress; intra-host traffic
-// bypasses the NIC.
+// bypasses the NIC. Both deliveries that follow a fixed delay — the
+// propagation latency after the receiver's ingress, and the loopback
+// latency of an intra-host transfer — ride simclock.DelayLines instead of
+// the event heap.
 package simnet
 
 import (
@@ -16,8 +19,10 @@ import (
 type Network struct {
 	sim       *simclock.Sim
 	bandwidth float64 // NIC bandwidth in bytes/sec, full duplex
-	latency   simclock.Time
-	hosts     map[string]*hostNIC
+	hosts     map[string]*NIC
+
+	deliver  *simclock.DelayLine // latency after the receiver's ingress
+	loopback *simclock.DelayLine // latency/4 for intra-host transfers
 
 	freeTransfers *transfer // pooled in-flight transfer state
 
@@ -26,7 +31,10 @@ type Network struct {
 	BytesMoved int64
 }
 
-type hostNIC struct {
+// NIC is one host's full-duplex network interface. Callers on hot paths
+// resolve it once with Network.NIC and transfer through TransferArg,
+// skipping the per-transfer host-name lookup.
+type NIC struct {
 	egress  *simclock.Queue
 	ingress *simclock.Queue
 }
@@ -44,16 +52,21 @@ func DefaultConfig() Config {
 	return Config{BandwidthBytesPerSec: 1.25e9 / 8, Latency: 200 * time.Microsecond}
 }
 
-// New creates a network on the given simulator.
+// New creates a network on the given simulator. The bandwidth must be
+// positive and the latency non-negative.
 func New(sim *simclock.Sim, cfg Config) *Network {
-	if cfg.BandwidthBytesPerSec <= 0 {
+	if !(cfg.BandwidthBytesPerSec > 0) {
 		panic("simnet: bandwidth must be positive")
+	}
+	if cfg.Latency < 0 {
+		panic("simnet: latency must be non-negative")
 	}
 	return &Network{
 		sim:       sim,
 		bandwidth: cfg.BandwidthBytesPerSec,
-		latency:   cfg.Latency,
-		hosts:     map[string]*hostNIC{},
+		hosts:     map[string]*NIC{},
+		deliver:   sim.NewDelayLine(cfg.Latency),
+		loopback:  sim.NewDelayLine(cfg.Latency / 4),
 	}
 }
 
@@ -62,12 +75,15 @@ func (n *Network) AddHost(name string) error {
 	if _, ok := n.hosts[name]; ok {
 		return fmt.Errorf("simnet: duplicate host %q", name)
 	}
-	n.hosts[name] = &hostNIC{
+	n.hosts[name] = &NIC{
 		egress:  n.sim.NewQueue(1),
 		ingress: n.sim.NewQueue(1),
 	}
 	return nil
 }
+
+// NIC returns a host's interface handle, or nil for an unknown host.
+func (n *Network) NIC(host string) *NIC { return n.hosts[host] }
 
 // serviceTime converts a payload size to wire time at NIC speed.
 func (n *Network) serviceTime(bytes int64) simclock.Time {
@@ -80,7 +96,7 @@ func (n *Network) serviceTime(bytes int64) simclock.Time {
 // so a transfer allocates nothing once the freelist warms up.
 type transfer struct {
 	n    *Network
-	dst  *hostNIC
+	dst  *NIC
 	wire simclock.Time
 	fn   func(any)
 	arg  any
@@ -110,44 +126,41 @@ func ingressDone(a any) {
 	t := a.(*transfer)
 	n, fn, arg := t.n, t.fn, t.arg
 	n.freeTransfer(t)
-	n.sim.AfterArg(n.latency, fn, arg)
+	n.deliver.AddArg(fn, arg)
 }
 
-func noop(any) {}
-
-// Transfer moves bytes from one host to another, invoking done when the
-// payload has fully arrived. Intra-host transfers skip the NIC and incur
-// only loopback latency.
+// Transfer moves bytes from one host to another, invoking done (may be
+// nil) when the payload has fully arrived. Intra-host transfers skip the
+// NIC and incur only loopback latency.
 func (n *Network) Transfer(from, to string, bytes int64, done func()) {
+	src, dst := n.hosts[from], n.hosts[to]
+	if from != to {
+		if src == nil {
+			panic("simnet: unknown source host " + from)
+		}
+		if dst == nil {
+			panic("simnet: unknown destination host " + to)
+		}
+	}
 	if done == nil {
-		n.TransferArg(from, to, bytes, nil, nil)
+		n.TransferArg(src, dst, bytes, nil, nil)
 		return
 	}
-	n.TransferArg(from, to, bytes, callThunk, done)
+	n.TransferArg(src, dst, bytes, callThunk, done)
 }
 
 func callThunk(a any) { a.(func())() }
 
-// TransferArg is the allocation-free form of Transfer: fn(arg) fires when
-// the payload has fully arrived (fn may be nil).
-func (n *Network) TransferArg(from, to string, bytes int64, fn func(any), arg any) {
+// TransferArg is the allocation-free form of Transfer between resolved
+// interfaces: fn(arg) fires when the payload has fully arrived (fn may be
+// nil). A transfer from a NIC to itself is intra-host.
+func (n *Network) TransferArg(src, dst *NIC, bytes int64, fn func(any), arg any) {
 	if bytes < 0 {
 		panic("simnet: negative transfer")
 	}
-	if fn == nil {
-		fn = noop
-	}
-	if from == to {
-		n.sim.AfterArg(n.latency/4, fn, arg)
+	if src == dst {
+		n.loopback.AddArg(fn, arg)
 		return
-	}
-	src, ok := n.hosts[from]
-	if !ok {
-		panic("simnet: unknown source host " + from)
-	}
-	dst, ok := n.hosts[to]
-	if !ok {
-		panic("simnet: unknown destination host " + to)
 	}
 	n.BytesMoved += bytes
 	wire := n.serviceTime(bytes)
@@ -157,16 +170,6 @@ func (n *Network) TransferArg(from, to string, bytes int64, fn func(any), arg an
 	// NICs are occupied for the payload's wire time, so concurrent flows
 	// sharing either end contend there.
 	src.egress.SubmitArg(wire, egressDone, t)
-}
-
-// Lookahead returns the minimum scheduling delay any network delivery
-// incurs: the intra-host loopback latency (latency/4), the smallest
-// increment Transfer ever schedules at. It is the conservative-PDES
-// lookahead bound the cluster hands to simclock.RunParallel — no
-// transfer completion can land closer to the present than this, so it
-// is the natural base window for staging future events.
-func (n *Network) Lookahead() simclock.Time {
-	return n.latency / 4
 }
 
 // HostUtilization returns cumulative egress and ingress busy time for a

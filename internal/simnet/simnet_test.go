@@ -166,6 +166,15 @@ func TestZeroBandwidthPanics(t *testing.T) {
 	New(simclock.New(), Config{})
 }
 
+func TestNegativeLatencyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	New(simclock.New(), Config{BandwidthBytesPerSec: 1e6, Latency: -time.Microsecond})
+}
+
 func TestNegativeTransferPanics(t *testing.T) {
 	_, net := newNet(t, "a", "b")
 	defer func() {

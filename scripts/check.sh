@@ -25,14 +25,9 @@ go test -race -count=1 \
     ./internal/experiments \
     ./internal/core \
     ./internal/parallel \
-    ./internal/tuner
-
-echo "== go test -race (parallel sim engine, ECFAULT_SIM_WORKERS=4) =="
-ECFAULT_SIM_WORKERS=4 go test -race -count=1 \
+    ./internal/tuner \
     ./internal/simclock \
-    ./internal/simnet \
-    ./internal/core \
-    ./internal/experiments
+    ./internal/simnet
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
