@@ -106,9 +106,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 		if b, ok := d.visibleLocked(blk); ok {
 			copy(p[n:n+chunk], b[inOff:inOff+int64(chunk)])
 		} else {
-			for i := n; i < n+chunk; i++ {
-				p[i] = 0
-			}
+			clear(p[n : n+chunk])
 		}
 		n += chunk
 	}
@@ -129,7 +127,10 @@ func (d *Device) visibleLocked(blk int64) ([]byte, bool) {
 	return nil, false
 }
 
-// WriteAt implements io.WriterAt semantics, allocating blocks lazily.
+// WriteAt implements io.WriterAt semantics, allocating blocks lazily. A
+// block-aligned write over blocks that do not exist yet takes the slab
+// path (writeFreshLocked); every other write copies block by block,
+// pulling shared base blocks into the overlay first.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -144,6 +145,10 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	}
 	d.stats.WriteOps++
 	d.stats.WriteBytes += int64(len(p))
+	if off%d.blockSize == 0 && d.unallocatedLocked(off/d.blockSize, int64(len(p))) {
+		d.writeFreshLocked(p, off/d.blockSize)
+		return len(p), nil
+	}
 	for n := 0; n < len(p); {
 		blk := (off + int64(n)) / d.blockSize
 		inOff := (off + int64(n)) % d.blockSize
@@ -168,6 +173,42 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 		n += chunk
 	}
 	return len(p), nil
+}
+
+// unallocatedLocked reports whether none of the blocks covering n bytes
+// from block first exists, in the overlay or in the base (masked or
+// not). Callers must hold d.mu.
+func (d *Device) unallocatedLocked(first, n int64) bool {
+	for blk, last := first, first+(n+d.blockSize-1)/d.blockSize; blk < last; blk++ {
+		if _, ok := d.blocks[blk]; ok {
+			return false
+		}
+		if _, ok := d.base[blk]; ok {
+			return false
+		}
+	}
+	return true
+}
+
+// writeFreshLocked stores p as new blocks from block first, none of which
+// exists yet. The whole blocks are cloned into one slab (no zeroing pass)
+// and each is kept as a capacity-capped sub-slice of it, so a later write
+// to one block cannot spill into its neighbour; a partial tail gets its
+// own zeroed block. Callers must hold d.mu.
+func (d *Device) writeFreshLocked(p []byte, first int64) {
+	bs := int(d.blockSize)
+	whole := len(p) / bs * bs
+	slab := append([]byte(nil), p[:whole]...)
+	blk := first
+	for lo := 0; lo < whole; lo += bs {
+		d.blocks[blk] = slab[lo : lo+bs : lo+bs]
+		blk++
+	}
+	if whole < len(p) {
+		b := make([]byte, bs)
+		copy(b, p[whole:])
+		d.blocks[blk] = b
+	}
 }
 
 // maskLocked hides a base-resident block from future lookups. Callers

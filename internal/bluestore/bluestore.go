@@ -368,23 +368,54 @@ func (s *Store) find(key ChunkKey) (chunkInfo, error) {
 }
 
 // ReadChunk returns the chunk size and, for payload-mode chunks, its
-// bytes. Device read counters are bumped either way.
+// bytes in a fresh buffer. Device read counters are bumped either way.
 func (s *Store) ReadChunk(key ChunkKey) (int64, []byte, error) {
 	info, err := s.find(key)
 	if err != nil {
 		return 0, nil, err
 	}
+	var buf []byte
 	if info.hasData {
-		buf := make([]byte, info.size)
-		if _, err := s.dev.ReadAt(buf, info.offset); err != nil {
-			return 0, nil, fmt.Errorf("bluestore: %w", err)
-		}
-		return info.size, buf, nil
+		buf = make([]byte, info.size)
 	}
-	if err := s.dev.AccountRead(info.size); err != nil {
-		return 0, nil, fmt.Errorf("bluestore: %w", err)
+	if err := s.read(info, buf); err != nil {
+		return 0, nil, err
 	}
-	return info.size, nil, nil
+	return info.size, buf, nil
+}
+
+// ReadChunkInto reads a payload chunk's bytes into dst[:size] and
+// reports the chunk size and whether the chunk holds payload. With dst
+// nil, or for an accounting-mode chunk, it charges the same device read
+// (same counters, same ErrRemoved) without moving bytes. A non-nil dst
+// shorter than a payload chunk is an error.
+func (s *Store) ReadChunkInto(key ChunkKey, dst []byte) (size int64, payload bool, err error) {
+	info, err := s.find(key)
+	if err != nil {
+		return 0, false, err
+	}
+	if info.hasData && dst != nil && int64(len(dst)) < info.size {
+		return 0, false, fmt.Errorf("bluestore: read buffer of %d bytes for %d-byte chunk %v", len(dst), info.size, key)
+	}
+	if err := s.read(info, dst); err != nil {
+		return 0, false, err
+	}
+	return info.size, info.hasData, nil
+}
+
+// read charges one device read of the chunk, moving its bytes into dst
+// when dst is non-nil and the chunk holds payload.
+func (s *Store) read(info chunkInfo, dst []byte) error {
+	var err error
+	if info.hasData && dst != nil {
+		_, err = s.dev.ReadAt(dst[:info.size], info.offset)
+	} else {
+		err = s.dev.AccountRead(info.size)
+	}
+	if err != nil {
+		return fmt.Errorf("bluestore: %w", err)
+	}
+	return nil
 }
 
 // ReadSubChunks accounts a partial read of the chunk (count sub-chunk
@@ -473,8 +504,16 @@ func (s *Store) DeleteChunk(key ChunkKey) error {
 	return nil
 }
 
+// dropLocked releases a chunk's space, metadata and index entry. A
+// payload chunk's min_alloc-rounded extent is trimmed from the device (on
+// a fork that masks the shared base blocks); the trim can only fail on a
+// removed device, whose contents are gone anyway. Callers must hold s.mu.
 func (s *Store) dropLocked(key ChunkKey, info chunkInfo) {
-	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
+	allocated := roundUp(info.size, s.cfg.MinAllocSize)
+	if info.hasData {
+		_ = s.dev.Trim(info.offset, allocated)
+	}
+	s.dataAllocated -= allocated
 	s.accountedMeta -= s.metaRecordBytes(info.size)
 	s.ecMetaBytes -= int64(s.cfg.ECMetaFraction * float64(info.share))
 	s.kv.DeleteAccounted(key.onodeKeyLen(), int(s.cfg.OnodeBytes))

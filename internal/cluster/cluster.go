@@ -145,7 +145,10 @@ type PoolConfig struct {
 	FailureDomain string // "osd", "host", or "rack"
 }
 
-// Cluster is the simulated DSS.
+// Cluster is the simulated DSS. A Cluster is single-goroutine: its pools,
+// object records, simulator and payload scratch are unsynchronised, so
+// each cluster (and each snapshot fork) must be driven from one goroutine
+// at a time. Only the stores below it are safe for concurrent use.
 type Cluster struct {
 	cfg   Config
 	sim   *simclock.Sim
@@ -161,6 +164,39 @@ type Cluster struct {
 	freeObjs   *objRepair
 	freeReads  *helperRead
 	freeWrites *chunkWrite
+
+	// scratch backs the payload path's temporary shards: partial data
+	// shards and parity on write, parity on a degraded read, survivors on
+	// repair. It is grown to n × chunk, reused by the next payload call,
+	// and never handed to a caller.
+	scratch []byte
+}
+
+// scratchBuf returns the cluster's payload scratch resized to size bytes.
+// Its contents are stale, and it is valid only until the next payload
+// call on this cluster.
+func (c *Cluster) scratchBuf(size int64) []byte {
+	if int64(cap(c.scratch)) < size {
+		c.scratch = make([]byte, size)
+	}
+	return c.scratch[:size]
+}
+
+// shardOfStripe returns shard i of a stripe of cs-byte shards laid out
+// back to back in buf, capacity-capped so it cannot grow into shard i+1.
+func shardOfStripe(buf []byte, i int, cs int64) []byte {
+	lo, hi := int64(i)*cs, int64(i+1)*cs
+	return buf[lo:hi:hi]
+}
+
+// emptyShards fills every nil shard with a non-nil empty slice: the
+// stripe of a zero-byte object, which no codec accepts and none needs.
+func emptyShards(shards [][]byte) {
+	for i, sh := range shards {
+		if sh == nil {
+			shards[i] = []byte{}
+		}
+	}
 }
 
 // New builds the cluster topology with fresh empty stores.
@@ -492,7 +528,8 @@ func (p *Pool) findObject(name string) (*PG, *ObjectRecord, int) {
 
 // WriteObject stores an object with real payload bytes: it erasure-codes
 // the data with the pool's plugin and writes one shard per acting-set OSD.
-// Overwriting an existing object replaces its chunks.
+// Overwriting an existing object replaces its chunks. data is borrowed:
+// it is only read, and not retained once WriteObject returns.
 //
 // Payload layout: data shard i holds the contiguous byte range
 // [i*chunk, (i+1)*chunk) of the object (zero-padded at the tail). Ceph
@@ -516,20 +553,31 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 			return err
 		}
 	}
-	shards := make([][]byte, code.N())
-	for i := 0; i < code.K(); i++ {
-		shards[i] = make([]byte, cs)
-		lo := int64(i) * cs
-		if lo < int64(len(data)) {
-			hi := lo + cs
-			if hi > int64(len(data)) {
-				hi = int64(len(data))
+	// Full data shards borrow the caller's bytes (the codec only reads
+	// them); partial or empty tail shards and the parity live in scratch,
+	// each in its own region.
+	k, n := code.K(), code.N()
+	shards := make([][]byte, n)
+	if cs == 0 {
+		emptyShards(shards)
+	} else {
+		scratch := c.scratchBuf(int64(n) * cs)
+		for i := range shards {
+			if hi := int64(i+1) * cs; i < k && hi <= int64(len(data)) {
+				shards[i] = shardOfStripe(data, i, cs)
+				continue
 			}
-			copy(shards[i], data[lo:hi])
+			shards[i] = shardOfStripe(scratch, i, cs)
+			if i < k {
+				clear(shards[i])
+				if lo := int64(i) * cs; lo < int64(len(data)) {
+					copy(shards[i], data[lo:])
+				}
+			}
 		}
-	}
-	if err := code.Encode(shards); err != nil {
-		return err
+		if err := code.Encode(shards); err != nil {
+			return err
+		}
 	}
 	share := int64(len(data)) / int64(code.N())
 	for shard, osdID := range pg.Acting {
@@ -588,7 +636,8 @@ func (c *Cluster) StatObject(poolName, name string) (int64, error) {
 }
 
 // ReadObject reads an object, decoding around missing or failed shards
-// (a degraded read) when necessary.
+// (a degraded read) when necessary. The returned buffer is fresh on
+// every call and belongs to the caller.
 func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 	pool, err := c.Pool(poolName)
 	if err != nil {
@@ -608,38 +657,60 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 	if !rec.Payload {
 		return nil, fmt.Errorf("cluster: object %s has no payload (accounting mode)", name)
 	}
+	// Data shards are read straight into the returned buffer. Parity is
+	// only charged while every data shard is present; once one is missing
+	// the rest of the stripe is read into scratch and decoded.
 	code := pool.Code
-	shards := make([][]byte, code.N())
+	k, cs := code.K(), rec.ChunkSize
+	out := make([]byte, int64(k)*cs)
+	var (
+		shards   [][]byte // the decode stripe, built at the first missing data shard
+		parity   []byte
+		lostData []int
+	)
 	available := 0
 	for shard, osdID := range pg.Acting {
+		var dst []byte
+		if shard < k {
+			dst = shardOfStripe(out, shard, cs)
+		} else if shards != nil {
+			dst = shardOfStripe(parity, shard-k, cs)
+		}
 		osd := c.osds[osdID]
-		if !osd.up {
-			continue
+		ok := osd.up
+		if ok {
+			_, payload, err := osd.Store.ReadChunkInto(pool.chunkKey(pg, rec, shard), dst)
+			ok = err == nil && payload
 		}
-		_, buf, err := osd.Store.ReadChunk(pool.chunkKey(pg, rec, shard))
-		if err != nil {
-			continue
+		switch {
+		case ok:
+			available++
+			if shards != nil {
+				shards[shard] = dst
+			}
+		case shard < k:
+			if shards == nil {
+				shards = make([][]byte, code.N())
+				for i := 0; i < shard; i++ {
+					shards[i] = shardOfStripe(out, i, cs)
+				}
+				parity = c.scratchBuf(int64(code.M()) * cs)
+			}
+			lostData = append(lostData, shard)
 		}
-		shards[shard] = buf
-		available++
 	}
-	if available < code.K() {
-		return nil, fmt.Errorf("cluster: object %s unreadable: %d of %d shards available", name, available, code.K())
+	if available < k {
+		return nil, fmt.Errorf("cluster: object %s unreadable: %d of %d shards available", name, available, k)
 	}
-	if available < code.N() {
+	if shards != nil && cs > 0 {
 		if err := code.Decode(shards); err != nil {
 			return nil, err
 		}
-	}
-	out := make([]byte, 0, rec.Size)
-	for i := 0; i < code.K() && int64(len(out)) < rec.Size; i++ {
-		need := rec.Size - int64(len(out))
-		if need > int64(len(shards[i])) {
-			need = int64(len(shards[i]))
+		for _, i := range lostData {
+			copy(shardOfStripe(out, i, cs), shards[i])
 		}
-		out = append(out, shards[i][:need]...)
 	}
-	return out, nil
+	return out[:rec.Size:rec.Size], nil
 }
 
 // UsedBytes sums OSD-level storage usage across the cluster, the quantity

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -732,26 +733,27 @@ func (c *Cluster) shardOf(pg *PG, osd int) int {
 // stores them on the target OSDs.
 func (c *Cluster) repairPayload(pool *Pool, pg *PG, obj *ObjectRecord, lostIdx []int, targets []int) error {
 	code := pool.Code
+	cs := obj.ChunkSize
 	shards := make([][]byte, code.N())
-	lost := map[int]bool{}
-	for _, l := range lostIdx {
-		lost[l] = true
-	}
+	scratch := c.scratchBuf(int64(code.N()) * cs)
 	for shard, osdID := range pg.Acting {
-		if lost[shard] {
+		if slices.Contains(lostIdx, shard) {
 			continue
 		}
 		osd := c.osds[osdID]
 		if !osd.up {
 			continue
 		}
-		_, buf, err := osd.Store.ReadChunk(pool.chunkKey(pg, obj, shard))
-		if err != nil || buf == nil {
+		buf := shardOfStripe(scratch, shard, cs)
+		_, payload, err := osd.Store.ReadChunkInto(pool.chunkKey(pg, obj, shard), buf)
+		if err != nil || !payload {
 			continue
 		}
 		shards[shard] = buf
 	}
-	if err := code.Repair(shards, lostIdx); err != nil {
+	if cs == 0 {
+		emptyShards(shards)
+	} else if err := code.Repair(shards, lostIdx); err != nil {
 		return err
 	}
 	share := obj.Size / int64(code.N())

@@ -27,7 +27,9 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner \
     ./internal/simclock \
-    ./internal/simnet
+    ./internal/simnet \
+    ./internal/blockdev \
+    ./internal/bluestore
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
